@@ -17,7 +17,7 @@
 //   error*  no-producer           an event no rule, timer, fact, or extern source feeds
 //   warning unread-table          a relation that is written but never read
 //   advisory wants-index          a join probes a column set no declared key covers; the
-//                                 engine will build (and on churn rebuild) a secondary index
+//                                 engine will build and maintain a secondary index
 //   advisory shared-prefix        two or more rules start with the same join prefix; the
 //                                 cost-based optimizer can evaluate it once and share it
 //

@@ -250,15 +250,13 @@ Status Engine::Recompile() {
         table->WarmIndex(cols);
       }
     }
-    // Incremental index maintenance rides with the optimizer (it changes probe-result
-    // order, which the default byte-stable path must not). The drift snapshot caches Table
-    // pointers: PlanDrifted runs at every tick entry, and name lookups there would charge
-    // O(tables) map probes per tick to workloads the optimizer never helps. Tables declared
-    // after this snapshot (only perf_table's lazy declare) join it at the next recompile.
+    // The drift snapshot caches Table pointers: PlanDrifted runs at every tick entry, and
+    // name lookups there would charge O(tables) map probes per tick to workloads the
+    // optimizer never helps. Tables declared after this snapshot (only perf_table's lazy
+    // declare) join it at the next recompile.
     planned_rows_.clear();
     for (const std::string& name : catalog_.TableNames()) {
       Table* table = catalog_.Find(name);
-      table->set_incremental_index_maintenance(true);
       planned_rows_.emplace_back(table, table->size());
     }
   }

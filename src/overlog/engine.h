@@ -68,8 +68,7 @@ struct EngineOptions {
   // pinned trace. When on: rule bodies are ordered by a cardinality cost model seeded from
   // live table stats, chosen probe indexes are pre-warmed after each (re)compile, identical
   // body prefixes across rules evaluate once per fixpoint round into a shared binding cache
-  // (serial fixpoint only), and tables maintain cached secondary indexes incrementally
-  // across replace/erase. Re-planning happens deterministically at tick boundaries when
+  // (serial fixpoint only). Re-planning happens deterministically at tick boundaries when
   // observed row counts drift (see replan_* below), so runs stay byte-identical per seed.
   bool enable_optimizer = false;
   // Re-plan at a tick boundary when some table's row count and the count recorded at plan

@@ -8,14 +8,6 @@
 
 namespace boom {
 
-namespace {
-bool g_disable_index_catchup = false;
-}  // namespace
-
-void Table::SetDisableIndexCatchupForBenchmarks(bool disable) {
-  g_disable_index_catchup = disable;
-}
-
 std::vector<size_t> TableDef::EffectiveKey() const {
   if (!key_columns.empty()) {
     return key_columns;
@@ -49,20 +41,12 @@ Table::InsertOutcome Table::Insert(Tuple tuple, double now_ms) {
   if (it->second == tuple) {
     return InsertOutcome::kUnchanged;
   }
-  if (incremental_maintenance_) {
-    // Remove the old payload from every cached index while it is still readable, assign in
-    // place (the node address is stable), then re-add under the new projections. No epoch
-    // bump: every surviving index stays fully caught up.
-    RemoveRowFromIndexes(&it->second);
-    it->second = std::move(tuple);
-    AddRowToIndexes(&it->second);
-    ++version_;
-    return InsertOutcome::kReplaced;
-  }
+  // Remove the old payload from every cached index while it is still readable, assign in
+  // place (the node address is stable), then re-add under the new projections.
+  RemoveRowFromIndexes(&it->second);
   it->second = std::move(tuple);
+  AddRowToIndexes(&it->second);
   ++version_;
-  ++mutation_epoch_;  // cached index entries may point at the replaced payload
-  insert_log_.clear();
   return InsertOutcome::kReplaced;
 }
 
@@ -71,16 +55,7 @@ bool Table::Erase(const Tuple& tuple) {
   if (it == rows_.end() || it->second != tuple) {
     return false;
   }
-  if (incremental_maintenance_) {
-    RemoveRowFromIndexes(&it->second);
-    rows_.erase(it);
-    ++version_;
-    return true;
-  }
-  rows_.erase(it);
-  ++version_;
-  ++mutation_epoch_;
-  insert_log_.clear();
+  EraseRow(it);
   return true;
 }
 
@@ -89,49 +64,44 @@ bool Table::EraseByKey(const Tuple& key) {
   if (it == rows_.end()) {
     return false;
   }
-  if (incremental_maintenance_) {
-    RemoveRowFromIndexes(&it->second);
-    rows_.erase(it);
-    ++version_;
-    return true;
-  }
-  rows_.erase(it);
-  ++version_;
-  ++mutation_epoch_;
-  insert_log_.clear();
+  EraseRow(it);
   return true;
 }
 
+void Table::EraseRow(RowMap::iterator it) {
+  RemoveRowFromIndexes(&it->second);
+  rows_.erase(it);
+  ++version_;
+}
+
+void Table::CatchUp(const std::vector<size_t>& cols, CachedIndex& cached) {
+  for (; cached.log_pos < insert_log_.size(); ++cached.log_pos) {
+    const Tuple* row = insert_log_[cached.log_pos];
+    cached.index[row->Project(cols)].push_back(row);
+  }
+}
+
 void Table::RemoveRowFromIndexes(const Tuple* row) {
-  for (auto idx_it = indexes_.begin(); idx_it != indexes_.end();) {
-    CachedIndex& cached = idx_it->second;
-    if (!cached.built || cached.epoch != mutation_epoch_) {
-      // Stale from a pre-optimizer full-invalidation (Clear/expiry/epoch bump): drop it;
-      // the next probe rebuilds from scratch anyway.
-      idx_it = indexes_.erase(idx_it);
-      continue;
-    }
+  for (auto& [cols, cached] : indexes_) {
     // Fold pending plain inserts first so the bucket for `row` is present even when the row
     // was inserted after this index last caught up.
-    for (; cached.log_pos < insert_log_.size(); ++cached.log_pos) {
-      const Tuple* logged = insert_log_[cached.log_pos];
-      cached.index[logged->Project(idx_it->first)].push_back(logged);
+    CatchUp(cols, cached);
+    auto bucket_it = cached.index.find(row->Project(cols));
+    if (bucket_it == cached.index.end()) {
+      continue;
     }
-    auto bucket_it = cached.index.find(row->Project(idx_it->first));
-    if (bucket_it != cached.index.end()) {
-      std::vector<const Tuple*>& bucket = bucket_it->second;
-      // std::find + erase keeps the surviving rows' relative order, which derivation order
-      // (and with it trace order) observes.
-      auto pos = std::find(bucket.begin(), bucket.end(), row);
-      if (pos != bucket.end()) {
-        bucket.erase(pos);
-      }
-      if (bucket.empty()) {
-        cached.index.erase(bucket_it);
-      }
+    std::vector<const Tuple*>& bucket = bucket_it->second;
+    // std::find + erase keeps the surviving rows' relative order, which derivation order
+    // (and with it trace order) observes.
+    auto pos = std::find(bucket.begin(), bucket.end(), row);
+    if (pos != bucket.end()) {
+      bucket.erase(pos);
     }
-    ++idx_it;
+    if (bucket.empty()) {
+      cached.index.erase(bucket_it);
+    }
   }
+  // Every index has folded the whole log, so it can restart empty.
   insert_log_.clear();
   for (auto& [cols, cached] : indexes_) {
     cached.log_pos = 0;
@@ -164,27 +134,19 @@ std::vector<Tuple> Table::Rows() const {
 }
 
 const Index& Table::GetIndex(const std::vector<size_t>& cols) {
-  CachedIndex& cached = indexes_[cols];
-  if (!cached.built || cached.epoch != mutation_epoch_ ||
-      (g_disable_index_catchup && cached.log_pos != insert_log_.size())) {
-    // Full rebuild: a replacement or erase may have invalidated cached row pointers.
-    if (cached.built) {
-      index_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    }
-    cached.index.clear();
+  auto [it, added] = indexes_.try_emplace(cols);
+  CachedIndex& cached = it->second;
+  if (added) {
+    // First probe on these columns: build over the live rows; later inserts fold in from
+    // the insert log.
     for (const auto& [key, row] : rows_) {
       cached.index[row.Project(cols)].push_back(&row);
     }
-    cached.built = true;
-    cached.epoch = mutation_epoch_;
     cached.log_pos = insert_log_.size();
     return cached.index;
   }
   // Catch up on plain inserts only: O(delta) per probe instead of O(table).
-  for (; cached.log_pos < insert_log_.size(); ++cached.log_pos) {
-    const Tuple* row = insert_log_[cached.log_pos];
-    cached.index[row->Project(cols)].push_back(row);
-  }
+  CatchUp(cols, cached);
   return cached.index;
 }
 
@@ -236,8 +198,11 @@ void Table::Clear() {
     rows_.clear();
     row_time_.clear();
     ++version_;
-    ++mutation_epoch_;
     insert_log_.clear();
+    for (auto& [cols, cached] : indexes_) {
+      cached.index.clear();
+      cached.log_pos = 0;
+    }
   }
 }
 
@@ -251,17 +216,12 @@ std::vector<Tuple> Table::ExpireOlderThan(double cutoff_ms) {
       auto row_it = rows_.find(it->first);
       if (row_it != rows_.end()) {
         expired.push_back(row_it->second);
-        rows_.erase(row_it);
+        EraseRow(row_it);
       }
       it = row_time_.erase(it);
     } else {
       ++it;
     }
-  }
-  if (!expired.empty()) {
-    ++version_;
-    ++mutation_epoch_;
-    insert_log_.clear();
   }
   return expired;
 }

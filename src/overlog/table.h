@@ -5,6 +5,10 @@
 // already present replaces the old row (update-in-place semantics, as in P2/JOL). Tables with
 // no declared key treat every column as the key, i.e. plain set semantics.
 //
+// A secondary index is built over the live rows on its first probe and is never rebuilt
+// after that: new rows fold in from an insert log on the next probe, and a replace, erase,
+// TTL expiry or Clear() patches the affected buckets in place.
+//
 // Event tables hold tuples for a single engine timestep; the Engine clears them between ticks.
 
 #ifndef SRC_OVERLOG_TABLE_H_
@@ -87,10 +91,12 @@ class Table {
     }
   }
 
-  // Returns rows whose projection on `cols` equals `probe`, via a lazily built and cached
-  // hash index. The returned pointers (and the returned vector itself) are valid until the
-  // next table mutation; capture probe_generation() before use and call AssertProbeFresh()
-  // to enforce that in debug builds.
+  // Returns rows whose projection on `cols` equals `probe`, via a cached hash index built on
+  // the first probe of `cols` and patched on every mutation after that. Within a bucket,
+  // rows keep their index order: build order, then insertion order, with a replaced row
+  // moving to the end. The returned pointers (and the returned vector itself) are valid
+  // until the next table mutation; capture probe_generation() before use and call
+  // AssertProbeFresh() to enforce that in debug builds.
   const std::vector<const Tuple*>& Probe(const std::vector<size_t>& cols, const Tuple& probe);
   // Precomputed-hash probe path: no Tuple is materialized and the hash is computed once by
   // the caller (TupleView::Of), not re-derived per hash-map operation.
@@ -98,10 +104,10 @@ class Table {
                                          const TupleView& probe);
 
   // Builds (or catches up) the secondary index on `cols` now. After this — and until the
-  // next table mutation — Probe(cols, ...) is write-free: the cached index is built, its
-  // epoch matches, and the insert-log catch-up loop has nothing to fold in. The parallel
-  // fixpoint warms every (table, probe_cols) pair a rule batch will touch on the engine
-  // thread before dispatching, so worker-side probes are pure reads.
+  // next table mutation — Probe(cols, ...) is write-free: the cached index exists and the
+  // insert-log catch-up loop has nothing to fold in. The parallel fixpoint warms every
+  // (table, probe_cols) pair a rule batch will touch on the engine thread before
+  // dispatching, so worker-side probes are pure reads.
   void WarmIndex(const std::vector<size_t>& cols) { GetIndex(cols); }
 
   // Generation token for probe-result validity: changes on every mutation that can move or
@@ -111,6 +117,7 @@ class Table {
   // taken at that generation is stale. Callers gate this behind debug builds.
   void AssertProbeFresh(uint64_t generation) const;
 
+  // Removes every row. Cached indexes are emptied in place and stay built.
   void Clear();
 
   // Soft state: removes rows stamped before `cutoff_ms`, returning the expired rows.
@@ -119,20 +126,7 @@ class Table {
   // Extracts the primary key projection from a full row.
   Tuple KeyOf(const Tuple& tuple) const { return tuple.Project(effective_key_); }
 
-  // Ablation switch (benchmarks only): when true, every probe rebuilds its index from
-  // scratch instead of catching up from the insert log.
-  static void SetDisableIndexCatchupForBenchmarks(bool disable);
-
-  // --- optimizer support -------------------------------------------------------------
-
-  // Optimizer mode: maintain cached secondary indexes incrementally across replace/erase
-  // instead of bumping mutation_epoch_ (which forces a full O(table) rebuild on the next
-  // probe of every cached index). Post-mutation bucket order differs from the rebuild
-  // order, which is observable in derivation order, so this is only switched on together
-  // with the cost-based optimizer (EngineOptions::enable_optimizer) — never on the default
-  // byte-stable path. Clear() and ExpireOlderThan() keep full-rebuild semantics.
-  void set_incremental_index_maintenance(bool on) { incremental_maintenance_ = on; }
-  bool incremental_index_maintenance() const { return incremental_maintenance_; }
+  // --- optimizer and profiling support ------------------------------------------------
 
   // Cost-model statistic: exact count of distinct values in column `col` by full scan.
   // Order-independent (set-based), so the result is deterministic regardless of hash-map
@@ -143,46 +137,47 @@ class Table {
   // parallel fixpoint probes warmed indexes from worker threads.
   uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
   uint64_t probe_hits() const { return probe_hits_.load(std::memory_order_relaxed); }
-  uint64_t index_rebuilds() const {
-    return index_rebuilds_.load(std::memory_order_relaxed);
-  }
+  // Full rebuilds of an already-built index. Always 0: every mutation patches cached
+  // indexes in place. Still published (perf_table's Rebuilds column, the engine.table.*
+  // gauges, benchmark reports) so existing readers keep their schema.
+  uint64_t index_rebuilds() const { return 0; }
 
  private:
+  using RowMap = std::unordered_map<Tuple, Tuple, TupleHash>;  // key projection -> full row
+
   struct CachedIndex {
-    bool built = false;
-    uint64_t epoch = 0;     // full rebuild needed when != mutation_epoch_
-    size_t log_pos = 0;     // prefix of insert_log_ already folded in
+    size_t log_pos = 0;  // prefix of insert_log_ already folded in
     Index index;
   };
 
   const Index& GetIndex(const std::vector<size_t>& cols);
+  // Folds the insert_log_ entries past `cached.log_pos` into `cached`.
+  void CatchUp(const std::vector<size_t>& cols, CachedIndex& cached);
 
-  // Incremental-maintenance helper: brings every cached index fully up to date (folding the
-  // insert log; dropping stale-epoch entries), then removes `row` — identified by address —
-  // from each bucket keyed by its current projection. Leaves insert_log_ empty with every
-  // surviving index at log_pos 0. Callers must invoke this while `row` still holds its old
-  // payload, and must NOT bump mutation_epoch_ afterwards (no dangling pointers remain).
+  // Brings every cached index fully up to date (folding the insert log), then removes
+  // `row` — identified by address — from each bucket keyed by its current projection.
+  // Leaves insert_log_ empty with every index at log_pos 0. Callers must invoke this while
+  // `row` still holds its old payload.
   void RemoveRowFromIndexes(const Tuple* row);
   // Appends `row` (already holding its new payload) to every cached index bucket.
   void AddRowToIndexes(const Tuple* row);
+  // The one per-row removal path (Erase, EraseByKey, TTL expiry): unindex, then drop.
+  void EraseRow(RowMap::iterator it);
 
   TableDef def_;
   std::vector<size_t> effective_key_;
   bool key_is_whole_row_;
-  std::unordered_map<Tuple, Tuple, TupleHash> rows_;  // key projection -> full row
+  RowMap rows_;
   std::unordered_map<Tuple, double, TupleHash> row_time_;  // TTL tables only
   std::map<std::vector<size_t>, CachedIndex> indexes_;
   uint64_t version_ = 0;
-  // Index maintenance: plain inserts append here (stable pointers into rows_), so cached
-  // indexes catch up in O(delta). Replacements/erases bump mutation_epoch_, forcing a full
-  // rebuild (stale pointers would otherwise dangle).
+  // Plain inserts append here (rows_ nodes have stable addresses), so cached indexes catch
+  // up in O(delta) on their next probe. Replace and erase fold the log into every index
+  // before patching, then empty it.
   std::vector<const Tuple*> insert_log_;
-  uint64_t mutation_epoch_ = 0;
   std::vector<const Tuple*> empty_result_;
-  bool incremental_maintenance_ = false;
   std::atomic<uint64_t> probes_{0};
   std::atomic<uint64_t> probe_hits_{0};
-  std::atomic<uint64_t> index_rebuilds_{0};
 };
 
 }  // namespace boom

@@ -3,9 +3,8 @@
 // The optimizer contract has two halves, and this suite pins both:
 //
 //  1. Profit: with live table stats the planner reorders joins ahead of fat relations,
-//     warms the probe indexes it chose, shares identical body prefixes, maintains indexes
-//     incrementally across replace/erase, and re-plans deterministically when cardinality
-//     drifts.
+//     warms the probe indexes it chose, shares identical body prefixes, and re-plans
+//     deterministically when cardinality drifts.
 //  2. Safety: none of that may change what a program computes. Every embedded program
 //     family runs its reference workload twice — optimizer off (the classic greedy plans)
 //     and on — and the resulting fixpoints must match table-for-table. Chaos runs add the
@@ -147,47 +146,6 @@ TEST(OptimizerPlanner, SharedPrefixDetection) {
       EXPECT_LT(slot, costed->rules[m.rule_index].num_slots);
     }
   }
-}
-
-// --- table: incremental index maintenance -----------------------------------------------
-
-TEST(OptimizerTable, IncrementalReplaceEraseAvoidsRebuilds) {
-  TableDef def;
-  def.name = "t";
-  def.columns = {"K", "V"};
-  def.key_columns = {0};
-
-  auto churn = [&def](bool incremental) {
-    Table table(def);
-    table.set_incremental_index_maintenance(incremental);
-    for (int k = 0; k < 32; ++k) {
-      table.Insert(Tuple{Value(k), Value(k * 10)});
-    }
-    const std::vector<size_t> by_value{1};
-    EXPECT_EQ(table.Probe(by_value, Tuple{Value(50)}).size(), 1u);
-    // Replace churn: every even key gets a new payload; cached indexes must follow.
-    for (int k = 0; k < 32; k += 2) {
-      EXPECT_EQ(table.Insert(Tuple{Value(k), Value(k * 10 + 1)}),
-                Table::InsertOutcome::kReplaced);
-    }
-    EXPECT_EQ(table.Probe(by_value, Tuple{Value(50)}).size(), 1u);   // odd key untouched
-    EXPECT_EQ(table.Probe(by_value, Tuple{Value(40)}).size(), 0u);   // old payload gone
-    EXPECT_EQ(table.Probe(by_value, Tuple{Value(41)}).size(), 1u);   // new payload indexed
-    EXPECT_TRUE(table.EraseByKey(Tuple{Value(5)}));
-    EXPECT_EQ(table.Probe(by_value, Tuple{Value(50)}).size(), 0u);
-    EXPECT_TRUE(table.Erase(Tuple{Value(7), Value(70)}));
-    EXPECT_EQ(table.Probe(by_value, Tuple{Value(70)}).size(), 0u);
-    // Fresh inserts after churn still reach the cached index (insert-log catch-up).
-    table.Insert(Tuple{Value(100), Value(999)});
-    EXPECT_EQ(table.Probe(by_value, Tuple{Value(999)}).size(), 1u);
-    EXPECT_EQ(table.size(), 31u);
-    return table.index_rebuilds();
-  };
-
-  EXPECT_EQ(churn(/*incremental=*/true), 0u)
-      << "incremental maintenance paid a full rebuild";
-  EXPECT_GE(churn(/*incremental=*/false), 2u)
-      << "default path should rebuild after replace/erase (this guards the ablation)";
 }
 
 // --- engine: drift re-plan, shared-prefix cache, explain --------------------------------
