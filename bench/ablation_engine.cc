@@ -3,7 +3,8 @@
 // replayed with individual optimizations disabled:
 //
 //   A. full engine            — incremental aggregates + version skip + dirty-rule sched
-//   B. no incremental aggs    — rollups recompute from scratch whenever inputs change
+//   B. no incremental aggs    — no change-log fold: every aggregate, count<> rollups
+//                               included, recomputes from scratch whenever inputs change
 //   C. no version skip        — every aggregate recomputes every tick, changed or not
 //   D. no dirty-rule sched    — fixpoint rounds scan every rule, changed driver or not
 //   E. cost-based optimizer   — A plus profile-guided re-planning (DESIGN.md §13); the

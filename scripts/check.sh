@@ -14,7 +14,8 @@
 # docs/WORKLOADS.md), and the overload label (admission control, retry budgets, and the
 # metastable-failure scenario — see docs/CHAOS.md).
 # ASan smoke: rebuild with -DBOOM_SANITIZE=address, run the table tests (cached indexes
-# hold raw row pointers that every replace/erase patches in place) and the telemetry +
+# hold raw row pointers that every replace/erase patches in place), the incremental-vs-full
+# aggregate differential test (change-log fold, cursors and trims), and the telemetry +
 # workload + policy + overload tests under ASan (the tracer/registry hot paths are
 # lock-free atomics worth sanitizing; the generator, scheduler, and admission-gateway
 # paths churn tuples hard),
@@ -60,12 +61,15 @@ echo "==> scale-out tests (ctest -L scaleout: federated metadata plane, rebalanc
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "==> ASan build"
   cmake -B build-asan -S . -DBOOM_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "$JOBS" --target chaos_explorer table_test telemetry_test \
-    trace_e2e_test monitor_meta_test workload_test scheduler_policy_test overload_test \
-    federation_test optimizer_test olglint olgrun
+  cmake --build build-asan -j "$JOBS" --target chaos_explorer table_test \
+    agg_differential_test telemetry_test trace_e2e_test monitor_meta_test workload_test \
+    scheduler_policy_test overload_test federation_test optimizer_test olglint olgrun
 
   echo "==> ASan table tests (in-place index patching keeps raw row pointers)"
   ./build-asan/tests/table_test
+
+  echo "==> ASan aggregate differential (change-log fold vs full recompute)"
+  ./build-asan/tests/agg_differential_test
 
   echo "==> ASan optimizer smoke (ctest -L optimizer)"
   (cd build-asan && ctest -L optimizer --output-on-failure -j "$JOBS")

@@ -150,10 +150,10 @@ Status Engine::Install(Program program) {
     return status;
   }
   needs_seed_ = true;
-  // The seed tick replays every stored row as a delta; reset incremental accumulators so
-  // they are rebuilt once rather than double-counted.
+  // The seed tick re-derives every aggregate: incremental ones rebuild their accumulators
+  // from the driver's live rows, full ones recompute regardless of input versions.
   for (auto& [name, state] : agg_state_) {
-    state.accum.clear();
+    state.folded = nullptr;
     state.has_input_version = false;
   }
   return Status::Ok();
@@ -237,6 +237,7 @@ Status Engine::Recompile() {
       rule.parallel_safe = rule.parallel_safe && expr_is_pure(arg.expr);
     }
   }
+  SetUpAggregatePaths();
   if (options_.enable_optimizer) {
     // Canonical shared-prefix variants probe tables too; resolve their pointers.
     for (SharedPrefixGroup& group : compiled_.shared_prefixes) {
@@ -261,6 +262,96 @@ Status Engine::Recompile() {
     }
   }
   return Status::Ok();
+}
+
+void Engine::SetUpAggregatePaths() {
+  // A change-log fold evaluates a row's bindings when the row arrives and again when it
+  // leaves, so both must agree: rules calling an impure or clock-reading builtin recompute.
+  std::function<std::string(const Expr&)> unstable_call = [&](const Expr& e) -> std::string {
+    if (e.kind == ExprKind::kCall) {
+      if (e.fn == "f_now" || !builtins_.IsPure(e.fn)) {
+        return e.fn;
+      }
+      for (const Expr& arg : e.args) {
+        std::string fn = unstable_call(arg);
+        if (!fn.empty()) {
+          return fn;
+        }
+      }
+    }
+    return "";
+  };
+  std::map<Table*, bool> was_logged;
+  std::map<Table*, std::vector<AggState*>> readers;
+  rule_agg_state_.assign(compiled_.rules.size(), nullptr);
+  for (size_t i = 0; i < compiled_.rules.size(); ++i) {
+    CompiledRule& rule = compiled_.rules[i];
+    if (!rule.has_agg) {
+      continue;
+    }
+    AggState& state = agg_state_[rule.program + ":" + rule.name];
+    rule_agg_state_[i] = &state;
+    if (rule.incremental_agg) {
+      std::string fn;
+      for (const CompiledStep& step : rule.full_variant.steps) {
+        if (fn.empty() && step.kind == BodyTerm::Kind::kAssign) {
+          fn = unstable_call(step.assign_expr);
+        } else if (fn.empty() && step.kind == BodyTerm::Kind::kCondition) {
+          fn = unstable_call(step.condition);
+        }
+      }
+      for (const CompiledHeadArg& arg : rule.head_args) {
+        if (fn.empty()) {
+          fn = unstable_call(arg.expr);
+        }
+      }
+      if (!fn.empty()) {
+        rule.incremental_agg = false;
+        rule.full_recompute_reason = "calls " + fn;
+      }
+    }
+    if (options_.disable_incremental_aggregates && rule.incremental_agg) {
+      rule.incremental_agg = false;
+      rule.full_recompute_reason = "incremental aggregates disabled";
+    }
+    Table* driver = rule.incremental_agg ? rule.full_variant.driver.table_ptr : nullptr;
+    if (driver == nullptr || state.folded != driver) {
+      state.folded = nullptr;  // not following this driver's log yet: rebuild first
+    }
+    if (driver != nullptr) {
+      was_logged.emplace(driver, driver->change_log_enabled());
+      readers[driver].push_back(&state);
+    }
+  }
+  change_log_readers_.clear();
+  for (const std::string& name : catalog_.TableNames()) {
+    Table* table = catalog_.Find(name);
+    auto it = readers.find(table);
+    if (it == readers.end()) {
+      table->SetChangeLog(false);
+      continue;
+    }
+    if (!was_logged[table]) {
+      // The log starts now; anything a reader folded before was not logged.
+      for (AggState* state : it->second) {
+        state->folded = nullptr;
+      }
+    }
+    table->SetChangeLog(true);
+    change_log_readers_.emplace_back(table, std::move(it->second));
+  }
+}
+
+void Engine::TrimChangeLogs() {
+  for (auto& [table, states] : change_log_readers_) {
+    uint64_t upto = table->change_log_end();
+    for (const AggState* state : states) {
+      if (state->folded == table) {
+        upto = std::min(upto, state->log_pos);
+      }
+    }
+    table->TrimChangeLog(upto);
+  }
 }
 
 void Engine::HarvestPlannerStats(std::unordered_map<std::string, TableStats>* stats) const {
@@ -346,6 +437,12 @@ std::string Engine::ExplainPlan() const {
   };
   for (const CompiledRule& rule : compiled_.rules) {
     os << rule.program << ":" << rule.name << " (stratum " << rule.stratum << ")\n";
+    if (rule.has_agg) {
+      os << "  aggregate: "
+         << (rule.incremental_agg ? "incremental (change log)"
+                                  : "full recompute (" + rule.full_recompute_reason + ")")
+         << "\n";
+    }
     os << variant_str(rule.full_variant, "full");
     for (const CompiledVariant& v : rule.variants) {
       os << variant_str(v, "delta[" + v.driver_table + "]");
@@ -499,6 +596,164 @@ bool Engine::ApplyLocalInsert(const std::string& table, const Tuple& tuple) {
   return true;
 }
 
+bool Engine::FoldAggregate(const CompiledRule& rule, AggState& state, TickResult& result,
+                           size_t* produced) {
+  const Table* driver = rule.full_variant.driver.table_ptr;
+  std::vector<Tuple> added;
+  std::vector<Tuple> removed;
+  bool rebuild = state.folded != driver;
+  if (!rebuild) {
+    if (state.log_pos == driver->change_log_end()) {
+      return false;
+    }
+    driver->ForEachChangeSince(state.log_pos, [&](const Table::Change& change) {
+      (change.inserted ? added : removed).push_back(change.row);
+    });
+    // Only count<> can take a row back out of an accumulator. A removal from a driver the
+    // planner judged insert-only (a host Clear(), say) falls back to a rebuild.
+    const bool count_only =
+        std::all_of(rule.head_args.begin(), rule.head_args.end(), [](const CompiledHeadArg& a) {
+          return a.agg == AggKind::kNone || a.agg == AggKind::kCount;
+        });
+    rebuild = !removed.empty() && !count_only;
+  }
+  // Groups to re-derive, in group-key order (the full path's emission order).
+  std::set<Tuple> changed;
+  std::vector<std::pair<Tuple, std::vector<Value>>> bindings;
+  if (rebuild) {
+    // Seed tick or new plan: rebuild from the live rows, re-derive every live group, and
+    // reconcile every group derived before.
+    state.accum.clear();
+    evaluator_.EvalAggBindings(rule, driver->Rows(), &bindings);
+    for (const auto& [key, row] : state.last_output) {
+      changed.insert(key);
+    }
+  } else {
+    evaluator_.EvalAggBindings(rule, added, &bindings);
+  }
+  for (auto& [key, inputs] : bindings) {
+    std::vector<AggAccum>& accums = state.accum[key];
+    accums.resize(inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      accums[i].Fold(inputs[i]);
+    }
+    changed.insert(std::move(key));
+  }
+  if (!removed.empty() && !rebuild) {
+    // Inserts were folded first, so a group's count never dips below its true value.
+    bindings.clear();
+    evaluator_.EvalAggBindings(rule, removed, &bindings);
+    for (auto& [key, inputs] : bindings) {
+      auto it = state.accum.find(key);
+      BOOM_CHECK(it != state.accum.end()) << rule.name << ": removed row was never counted";
+      for (AggAccum& accum : it->second) {
+        --accum.count;
+      }
+      changed.insert(std::move(key));
+    }
+  }
+  state.folded = driver;
+  state.log_pos = driver->change_log_end();
+
+  // Re-derive live groups, then retract emptied ones, exactly as RecomputeAggregate does:
+  // a row is erased only while it still equals the one this rule derived last.
+  std::vector<const Tuple*> emptied;
+  for (const Tuple& key : changed) {
+    auto it = state.accum.find(key);
+    if (it == state.accum.end() || it->second[0].count == 0) {
+      if (it != state.accum.end()) {
+        state.accum.erase(it);
+      }
+      emptied.push_back(&key);
+      continue;
+    }
+    std::vector<Value> vals;
+    vals.reserve(rule.head_args.size());
+    size_t key_idx = 0;
+    size_t agg_idx = 0;
+    for (const CompiledHeadArg& arg : rule.head_args) {
+      if (arg.agg == AggKind::kNone) {
+        vals.push_back(key[key_idx++]);
+      } else {
+        vals.push_back(it->second[agg_idx++].Finish(arg.agg));
+      }
+    }
+    Tuple row(std::move(vals));
+    ++result.derivations;
+    ++*produced;
+    state.last_output[key] = row;
+    ApplyLocalInsert(rule.head_table, row);
+  }
+  Table* head_table = catalog_.Find(rule.head_table);
+  for (const Tuple* key : emptied) {
+    auto last = state.last_output.find(*key);
+    if (last == state.last_output.end()) {
+      continue;
+    }
+    const Tuple* current = head_table->LookupByKey(*key);
+    if (current != nullptr && *current == last->second) {
+      head_table->EraseByKey(*key);
+      FireWatches(rule.head_table, last->second, /*inserted=*/false);
+    }
+    state.last_output.erase(last);
+  }
+  return true;
+}
+
+bool Engine::RecomputeAggregate(const CompiledRule& rule, AggState& state,
+                                TickResult& result, size_t* produced) {
+  uint64_t version_sum = 0;
+  for (const std::string& table : rule.body_tables) {
+    const Table* t = catalog_.Find(table);
+    if (t != nullptr) {
+      version_sum += t->version();
+    }
+  }
+  if (!needs_seed_ && state.has_input_version && state.input_version_sum == version_sum &&
+      !options_.disable_aggregate_version_skip) {
+    return false;
+  }
+  state.has_input_version = true;
+  state.input_version_sum = version_sum;
+  std::vector<Tuple> head_rows;
+  evaluator_.EvalAggregate(rule, &head_rows);
+  *produced = head_rows.size();
+  std::map<Tuple, Tuple> new_output;
+  Table* head_table = catalog_.Find(rule.head_table);
+  BOOM_CHECK(head_table != nullptr);
+  for (Tuple& row : head_rows) {
+    ++result.derivations;
+    if (rule.head_has_location && row[0].is_string() &&
+        row[0].as_string() != options_.address) {
+      // Remote aggregate result: send when changed since last time.
+      Tuple group_key = head_table->KeyOf(row);
+      auto it = state.last_sent.find(group_key);
+      if (it == state.last_sent.end() || it->second != row) {
+        state.last_sent[group_key] = row;
+        result.sends.push_back(Send{row[0].as_string(), rule.head_table, row});
+        ++stats_.messages_sent;
+      }
+      continue;
+    }
+    Tuple group_key = head_table->KeyOf(row);
+    new_output.emplace(std::move(group_key), row);
+    ApplyLocalInsert(rule.head_table, row);
+  }
+  // Retract groups this rule derived before but no longer does.
+  for (const auto& [key, old_row] : state.last_output) {
+    if (new_output.count(key) > 0) {
+      continue;
+    }
+    const Tuple* current = head_table->LookupByKey(key);
+    if (current != nullptr && *current == old_row) {
+      head_table->EraseByKey(key);
+      FireWatches(rule.head_table, old_row, /*inserted=*/false);
+    }
+  }
+  state.last_output = std::move(new_output);
+  return true;
+}
+
 Engine::TickResult Engine::Tick(double now_ms) {
   BOOM_CHECK(now_ms >= now_ms_) << "time must be non-decreasing: " << now_ms << " < "
                                 << now_ms_;
@@ -602,120 +857,21 @@ Engine::TickResult Engine::Tick(double now_ms) {
   // Recompile; no per-tick regrouping).
   for (size_t stratum = 0; stratum < compiled_.schedule.size(); ++stratum) {
     const StratumSchedule& sched = compiled_.schedule[stratum];
-    // 4a. Aggregate rules: full recomputation + reconciliation against their prior output.
-    // Skipped entirely when none of the rule's input tables changed since the last
-    // recomputation — this is what keeps ever-growing audit tables from making every tick
-    // O(table size).
+    // 4a. Aggregate rules, at stratum entry: fold the driver's change log (incremental
+    // rules) or recompute from the whole input when any input table changed.
     for (size_t rule_idx : sched.agg_rules) {
-      const CompiledRule* rule = &compiled_.rules[rule_idx];
-      if (rule->incremental_agg && !options_.disable_incremental_aggregates) {
-        // Fold only this tick's inserts into running accumulators: O(delta), not O(table).
-        auto delta_it = tick_new_.find(rule->body_tables[0]);
-        if (delta_it == tick_new_.end() || delta_it->second.empty()) {
-          continue;
-        }
-        ProfClock::time_point t0;
-        if (profile_) {
-          t0 = ProfClock::now();
-        }
-        std::vector<std::pair<Tuple, std::vector<Value>>> bindings;
-        evaluator_.EvalAggBindings(*rule, delta_it->second, &bindings);
-        if (bindings.empty()) {
-          if (profile_) {
-            RecordRuleEval(*rule, 0, prof_elapsed_us(t0), tick_tuples);
-          }
-          continue;
-        }
-        AggState& state = agg_state_[rule->name];
-        std::set<Tuple> changed;
-        for (auto& [key, inputs] : bindings) {
-          std::vector<AggAccum>& accums = state.accum[key];
-          accums.resize(inputs.size());
-          for (size_t i = 0; i < inputs.size(); ++i) {
-            accums[i].Fold(inputs[i]);
-          }
-          changed.insert(key);
-        }
-        for (const Tuple& key : changed) {
-          const std::vector<AggAccum>& accums = state.accum[key];
-          std::vector<Value> vals;
-          vals.reserve(rule->head_args.size());
-          size_t key_idx = 0;
-          size_t agg_idx = 0;
-          for (const CompiledHeadArg& arg : rule->head_args) {
-            if (arg.agg == AggKind::kNone) {
-              vals.push_back(key[key_idx++]);
-            } else {
-              vals.push_back(accums[agg_idx++].Finish(arg.agg));
-            }
-          }
-          ++result.derivations;
-          ApplyLocalInsert(rule->head_table, Tuple(std::move(vals)));
-        }
-        if (profile_) {
-          RecordRuleEval(*rule, changed.size(), prof_elapsed_us(t0), tick_tuples);
-        }
-        continue;
-      }
-      {
-        AggState& state = agg_state_[rule->name];
-        uint64_t version_sum = 0;
-        for (const std::string& table : rule->body_tables) {
-          const Table* t = catalog_.Find(table);
-          if (t != nullptr) {
-            version_sum += t->version();
-          }
-        }
-        if (!needs_seed_ && state.has_input_version &&
-            state.input_version_sum == version_sum &&
-            !options_.disable_aggregate_version_skip) {
-          continue;
-        }
-        state.has_input_version = true;
-        state.input_version_sum = version_sum;
-      }
+      const CompiledRule& rule = compiled_.rules[rule_idx];
+      AggState& state = *rule_agg_state_[rule_idx];
       ProfClock::time_point t0;
       if (profile_) {
         t0 = ProfClock::now();
       }
-      std::vector<Tuple> head_rows;
-      evaluator_.EvalAggregate(*rule, &head_rows);
-      AggState& state = agg_state_[rule->name];
-      std::map<Tuple, Tuple> new_output;
-      Table* head_table = catalog_.Find(rule->head_table);
-      BOOM_CHECK(head_table != nullptr);
-      for (Tuple& row : head_rows) {
-        ++result.derivations;
-        if (rule->head_has_location && row[0].is_string() &&
-            row[0].as_string() != options_.address) {
-          // Remote aggregate result: send when changed since last time.
-          Tuple group_key = head_table->KeyOf(row);
-          auto it = state.last_sent.find(group_key);
-          if (it == state.last_sent.end() || it->second != row) {
-            state.last_sent[group_key] = row;
-            result.sends.push_back(Send{row[0].as_string(), rule->head_table, row});
-            ++stats_.messages_sent;
-          }
-          continue;
-        }
-        Tuple group_key = head_table->KeyOf(row);
-        new_output.emplace(std::move(group_key), row);
-        ApplyLocalInsert(rule->head_table, row);
-      }
-      // Retract groups this rule derived before but no longer does.
-      for (const auto& [key, old_row] : state.last_output) {
-        if (new_output.count(key) > 0) {
-          continue;
-        }
-        const Tuple* current = head_table->LookupByKey(key);
-        if (current != nullptr && *current == old_row) {
-          head_table->EraseByKey(key);
-          FireWatches(rule->head_table, old_row, /*inserted=*/false);
-        }
-      }
-      state.last_output = std::move(new_output);
-      if (profile_) {
-        RecordRuleEval(*rule, head_rows.size(), prof_elapsed_us(t0), tick_tuples);
+      size_t produced = 0;
+      const bool evaluated = rule.incremental_agg
+                                 ? FoldAggregate(rule, state, result, &produced)
+                                 : RecomputeAggregate(rule, state, result, &produced);
+      if (profile_ && evaluated) {
+        RecordRuleEval(rule, produced, prof_elapsed_us(t0), tick_tuples);
       }
     }
 
@@ -958,6 +1114,7 @@ Engine::TickResult Engine::Tick(double now_ms) {
 
   // 6. Clear events; finish.
   catalog_.ClearEvents();
+  TrimChangeLogs();
   needs_seed_ = false;
   for (const std::string& err : evaluator_.errors()) {
     result.errors.push_back(err);

@@ -5,8 +5,9 @@
 //   0. expires soft-state (ttl) rows that were not refreshed,
 //   1. fires due timers (as events),
 //   2. applies the inbox (including @next derivations deferred from the previous step),
-//   3. runs each stratum to a semi-naive fixpoint (aggregates maintained incrementally where
-//      eligible, otherwise recomputed at stratum entry when their inputs changed),
+//   3. runs each stratum to a semi-naive fixpoint (aggregates folded from their driver's
+//      change log where eligible, otherwise recomputed at stratum entry when their inputs
+//      changed),
 //   4. applies deletions derived by `delete` rules,
 //   5. clears event tables and returns tuples destined for other nodes.
 //
@@ -47,6 +48,9 @@ struct EngineOptions {
   // replay an identical command log set the same salt on every replica so minted ids agree.
   std::optional<uint64_t> id_salt;
   // Ablation switches (benchmarks only): fall back to full recomputation strategies.
+  // disable_incremental_aggregates recomputes every aggregate rule from its whole input at
+  // each change and enables no change log; it is the reference the change-log fold is
+  // checked against (agg_differential_test).
   bool disable_incremental_aggregates = false;
   bool disable_aggregate_version_skip = false;
   // Ablation/validation switch: fixpoint rounds scan every rule in the stratum instead of
@@ -154,8 +158,9 @@ class Engine {
   const CompiledProgram& compiled() const { return compiled_; }
 
   // Human-readable dump of the current compiled plan: per-rule variant orderings (with cost
-  // estimates under the optimizer), chosen warm indexes, and shared-prefix groups. Backs
-  // `olgrun --explain`.
+  // estimates under the optimizer), each aggregate rule's maintenance path (change-log fold
+  // or full recompute, with the reason), chosen warm indexes, and shared-prefix groups.
+  // Backs `olgrun --explain`.
   std::string ExplainPlan() const;
 
   // --- per-rule profiling ---
@@ -227,8 +232,12 @@ class Engine {
     // Sum of input-table versions at the last recomputation (skip when unchanged).
     bool has_input_version = false;
     uint64_t input_version_sum = 0;
-    // Incremental path: group key -> one accumulator per aggregate head position.
+    // Incremental path: group key -> one accumulator per aggregate head position, folded
+    // from `folded`'s change log up to absolute position `log_pos`. `folded` is null when
+    // accum must be rebuilt from the driver's live rows first (seed tick, new plan).
     std::map<Tuple, std::vector<AggAccum>> accum;
+    const Table* folded = nullptr;
+    uint64_t log_pos = 0;
   };
 
   Status Recompile();
@@ -244,6 +253,18 @@ class Engine {
   void FireWatches(const std::string& table, const Tuple& tuple, bool inserted);
   // Inserts locally; appends to tick_new_ on change; fires watches. Returns true if new.
   bool ApplyLocalInsert(const std::string& table, const Tuple& tuple);
+  // Decides each aggregate rule's path after a compile (clearing incremental_agg for rules
+  // whose bindings may not repeat), enables change logs on exactly the incremental drivers,
+  // and resolves rule_agg_state_.
+  void SetUpAggregatePaths();
+  // Step 4a for one aggregate rule. Each returns false when it skipped the rule because no
+  // input changed; otherwise `produced` is the number of head rows derived.
+  bool FoldAggregate(const CompiledRule& rule, AggState& state, TickResult& result,
+                     size_t* produced);
+  bool RecomputeAggregate(const CompiledRule& rule, AggState& state, TickResult& result,
+                          size_t* produced);
+  // Drops change-log entries every incremental aggregate has folded.
+  void TrimChangeLogs();
 
   EngineOptions options_;
   Catalog catalog_;
@@ -261,7 +282,12 @@ class Engine {
   CompiledProgram compiled_;
   std::vector<TimerState> timers_;
   std::map<std::string, std::vector<WatchFn>> watches_;
-  std::map<std::string, AggState> agg_state_;  // keyed by rule name
+  std::map<std::string, AggState> agg_state_;  // keyed by "<program>:<rule>"
+  // Per compiled rule (parallel to compiled_.rules): its agg_state_ entry, or null for
+  // non-aggregate rules. Resolved at Recompile; map nodes are stable.
+  std::vector<AggState*> rule_agg_state_;
+  // Tables whose change log feeds incremental aggregates, with their readers' states.
+  std::vector<std::pair<Table*, std::vector<AggState*>>> change_log_readers_;
 
   std::vector<std::pair<std::string, Tuple>> inbox_;
   // Tuples newly inserted this tick. Keyed lookups only on the hot path; the per-round delta

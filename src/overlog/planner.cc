@@ -714,6 +714,62 @@ void DetectSharedPrefixes(CompiledProgram* out) {
   }
 }
 
+// Why aggregate rule `cr` cannot be folded from its driver's change log, or "" when it can.
+// Its body must be one positive atom over a persistent table, and its head local,
+// persistent, keyed exactly by the group columns and written by no other rule, so the rows
+// it derived last are the rows the head holds. count<> folds inserted and removed rows;
+// sum/min/max/avg fold inserts only, so they also need an insert-only driver.
+std::string IncrementalAggBlocker(const CompiledRule& cr, const Catalog& catalog,
+                                  const std::set<std::string>& mutated,
+                                  const std::map<std::string, int>& producers) {
+  if (!cr.single_positive_atom || cr.body_tables.size() != 1) {
+    return "body is not a single positive atom";
+  }
+  if (cr.head_has_location) {
+    return "located head";
+  }
+  const Table* driver = catalog.Find(cr.body_tables[0]);
+  if (driver == nullptr || driver->def().kind != TableKind::kTable) {
+    return "event driver";
+  }
+  const TableDef& head = catalog.Find(cr.head_table)->def();
+  if (head.kind != TableKind::kTable) {
+    return "event head";
+  }
+  if (producers.at(cr.head_table) > 1) {
+    return "head table " + cr.head_table + " has another producer";
+  }
+  std::vector<size_t> group_cols;
+  const char* insert_only_kind = nullptr;
+  for (size_t i = 0; i < cr.head_args.size(); ++i) {
+    const AggKind kind = cr.head_args[i].agg;
+    if (kind == AggKind::kNone) {
+      group_cols.push_back(i);
+    } else if (kind == AggKind::kBottomK) {
+      return "bottomk<> is not foldable";
+    } else if (kind != AggKind::kCount && insert_only_kind == nullptr) {
+      insert_only_kind = AggKindName(kind);
+    }
+  }
+  if (head.EffectiveKey() != group_cols) {
+    return "head key is not the group key";
+  }
+  if (insert_only_kind == nullptr) {
+    return "";
+  }
+  const std::string what = std::string(insert_only_kind) + "<> over ";
+  if (driver->def().EffectiveKey().size() != driver->def().arity()) {
+    return what + "keyed driver";
+  }
+  if (driver->def().ttl_ms > 0) {
+    return what + "soft-state driver";
+  }
+  if (mutated.count(cr.body_tables[0]) > 0) {
+    return what + "deleted or aggregate-derived driver";
+  }
+  return "";
+}
+
 }  // namespace
 
 Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
@@ -736,30 +792,19 @@ Result<CompiledProgram> CompileRules(const std::vector<Rule>& rules,
   // (aggregate reconciliation can retract rows).
   {
     std::set<std::string> mutated;
+    std::map<std::string, int> producers;
     for (const CompiledRule& cr : out.rules) {
       if (cr.is_delete || cr.has_agg) {
         mutated.insert(cr.head_table);
       }
+      ++producers[cr.head_table];
     }
     for (CompiledRule& cr : out.rules) {
-      if (!cr.has_agg || !cr.single_positive_atom || cr.body_tables.size() != 1 ||
-          cr.head_has_location) {
+      if (!cr.has_agg) {
         continue;
       }
-      const Table* driver = catalog.Find(cr.body_tables[0]);
-      if (driver == nullptr || driver->def().kind != TableKind::kTable ||
-          driver->def().ttl_ms > 0 ||  // soft-state rows expire: not insert-only
-          driver->def().EffectiveKey().size() != driver->def().arity() ||
-          mutated.count(cr.body_tables[0]) > 0) {
-        continue;
-      }
-      bool kinds_ok = true;
-      for (const CompiledHeadArg& arg : cr.head_args) {
-        if (arg.agg == AggKind::kBottomK) {
-          kinds_ok = false;
-        }
-      }
-      cr.incremental_agg = kinds_ok;
+      cr.full_recompute_reason = IncrementalAggBlocker(cr, catalog, mutated, producers);
+      cr.incremental_agg = cr.full_recompute_reason.empty();
     }
   }
 

@@ -124,10 +124,13 @@ struct CompiledRule {
   // Exactly one positive atom in the body: aggregate bindings are already distinct per
   // driver row, so the evaluator can skip fingerprint deduplication.
   bool single_positive_atom = false;
-  // Aggregate rule whose results can be folded incrementally from driver-table inserts
-  // (single-atom body over an insert-only persistent set-semantics table; no bottomk, no
-  // remote head). Keeps audit-style rollups O(delta) instead of O(table) per tick.
+  // Aggregate rule folded from its driver's change log instead of recomputed from the
+  // whole table: one positive atom over a persistent table, a local persistent head keyed
+  // by the group columns with no other producer, and either only count<> or an insert-only
+  // driver (see CompileRules). Keeps per-tick work O(changed rows), not O(table).
   bool incremental_agg = false;
+  // For an aggregate rule that is not incremental: why not (shown by `olgrun --explain`).
+  std::string full_recompute_reason;
   // Every builtin the rule calls (head args, assignments, conditions) is pure, so its
   // evaluation can run on a worker thread without reordering engine state mutations.
   // Filled by Engine::Recompile (the planner has no builtin registry); rules calling

@@ -35,17 +35,20 @@ Table::InsertOutcome Table::Insert(Tuple tuple, double now_ms) {
   auto [it, added] = rows_.try_emplace(std::move(key), tuple);
   if (added) {
     insert_log_.push_back(&it->second);
+    LogChange(it->second, /*inserted=*/true);
     ++version_;
     return InsertOutcome::kInserted;
   }
   if (it->second == tuple) {
     return InsertOutcome::kUnchanged;
   }
+  LogChange(it->second, /*inserted=*/false);
   // Remove the old payload from every cached index while it is still readable, assign in
   // place (the node address is stable), then re-add under the new projections.
   RemoveRowFromIndexes(&it->second);
   it->second = std::move(tuple);
   AddRowToIndexes(&it->second);
+  LogChange(it->second, /*inserted=*/true);
   ++version_;
   return InsertOutcome::kReplaced;
 }
@@ -70,6 +73,7 @@ bool Table::EraseByKey(const Tuple& key) {
 
 void Table::EraseRow(RowMap::iterator it) {
   RemoveRowFromIndexes(&it->second);
+  LogChange(it->second, /*inserted=*/false);
   rows_.erase(it);
   ++version_;
 }
@@ -195,6 +199,11 @@ void Table::AssertProbeFresh(uint64_t generation) const {
 
 void Table::Clear() {
   if (!rows_.empty()) {
+    if (log_changes_) {
+      for (const auto& [key, row] : rows_) {
+        changes_.push_back(Change{row, /*inserted=*/false});
+      }
+    }
     rows_.clear();
     row_time_.clear();
     ++version_;
@@ -204,6 +213,22 @@ void Table::Clear() {
       cached.log_pos = 0;
     }
   }
+}
+
+void Table::SetChangeLog(bool enabled) {
+  log_changes_ = enabled;
+  if (!enabled) {
+    TrimChangeLog(change_log_end());
+  }
+}
+
+void Table::TrimChangeLog(uint64_t upto) {
+  if (upto <= changes_base_) {
+    return;
+  }
+  const uint64_t drop = std::min<uint64_t>(upto - changes_base_, changes_.size());
+  changes_.erase(changes_.begin(), changes_.begin() + static_cast<long>(drop));
+  changes_base_ += drop;
 }
 
 std::vector<Tuple> Table::ExpireOlderThan(double cutoff_ms) {

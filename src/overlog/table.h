@@ -9,6 +9,9 @@
 // after that: new rows fold in from an insert log on the next probe, and a replace, erase,
 // TTL expiry or Clear() patches the affected buckets in place.
 //
+// A table can also keep a change log: every row that enters or leaves it, in mutation order.
+// The engine turns it on only for tables that feed incremental aggregate rules.
+//
 // Event tables hold tuples for a single engine timestep; the Engine clears them between ticks.
 
 #ifndef SRC_OVERLOG_TABLE_H_
@@ -21,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/logging.h"
 #include "src/base/status.h"
 #include "src/overlog/tuple.h"
 
@@ -123,6 +127,35 @@ class Table {
   // Soft state: removes rows stamped before `cutoff_ms`, returning the expired rows.
   std::vector<Tuple> ExpireOlderThan(double cutoff_ms);
 
+  // --- change log --------------------------------------------------------------------
+  //
+  // While enabled, every row that enters the table is appended as (row, inserted=true) and
+  // every row that leaves it as (row, inserted=false), in mutation order: insert (+),
+  // replace (- old, + new), Erase/EraseByKey (-), TTL expiry (-) and Clear() (- per row).
+  // An unchanged re-insert logs nothing. Entries have absolute positions that keep counting
+  // across trims, so a reader can hold a cursor into the log.
+  struct Change {
+    Tuple row;
+    bool inserted;
+  };
+  // Disabling drops every entry; positions stay monotone either way.
+  void SetChangeLog(bool enabled);
+  bool change_log_enabled() const { return log_changes_; }
+  // Absolute position one past the newest entry.
+  uint64_t change_log_end() const { return changes_base_ + changes_.size(); }
+  // Visits the entries at absolute positions [from, change_log_end()), oldest first.
+  // `from` must not precede the oldest entry still kept.
+  template <typename Fn>
+  void ForEachChangeSince(uint64_t from, Fn&& fn) const {
+    BOOM_CHECK(from >= changes_base_) << "change log of " << def_.name
+                                      << " trimmed past a reader's cursor";
+    for (size_t i = static_cast<size_t>(from - changes_base_); i < changes_.size(); ++i) {
+      fn(changes_[i]);
+    }
+  }
+  // Drops the entries before absolute position `upto` (every reader has folded them).
+  void TrimChangeLog(uint64_t upto);
+
   // Extracts the primary key projection from a full row.
   Tuple KeyOf(const Tuple& tuple) const { return tuple.Project(effective_key_); }
 
@@ -163,6 +196,11 @@ class Table {
   void AddRowToIndexes(const Tuple* row);
   // The one per-row removal path (Erase, EraseByKey, TTL expiry): unindex, then drop.
   void EraseRow(RowMap::iterator it);
+  void LogChange(const Tuple& row, bool inserted) {
+    if (log_changes_) {
+      changes_.push_back(Change{row, inserted});
+    }
+  }
 
   TableDef def_;
   std::vector<size_t> effective_key_;
@@ -176,6 +214,9 @@ class Table {
   // before patching, then empty it.
   std::vector<const Tuple*> insert_log_;
   std::vector<const Tuple*> empty_result_;
+  bool log_changes_ = false;
+  uint64_t changes_base_ = 0;  // absolute position of changes_[0]
+  std::vector<Change> changes_;
   std::atomic<uint64_t> probes_{0};
   std::atomic<uint64_t> probe_hits_{0};
 };

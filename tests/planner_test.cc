@@ -230,31 +230,76 @@ TEST(PlannerTest, IncrementalAggEligibility) {
     table obs(Id, G, V);
     table rollup(G, N) keys(0);
     table keyed_src(Id, V) keys(0);
-    table keyed_roll(K, N) keys(0);
+    table keyed_cnt(K, N) keys(0);
+    table keyed_min(K, M) keys(0);
+    table keyed_sum(K, S) keys(0);
+    table keyed_avg(K, A) keys(0);
+    table keyed_bot(K, L) keys(0);
     event ev(X);
     table ev_cnt(K, N) keys(0);
+    table shared(K, N) keys(0);
+    table obs_max(G, M) keys(0);
     r1 rollup(G, count<Id>) :- obs(Id, G, _);
-    r2 keyed_roll(1, count<Id>) :- keyed_src(Id, _);
-    r3 ev_cnt(1, count<X>) :- ev(X);
+    r2 keyed_cnt(1, count<Id>) :- keyed_src(Id, _);
+    r3 keyed_min(1, min<V>) :- keyed_src(_, V);
+    r4 keyed_sum(1, sum<V>) :- keyed_src(_, V);
+    r5 keyed_avg(1, avg<V>) :- keyed_src(_, V);
+    r6 keyed_bot(1, bottomk<2, V>) :- keyed_src(_, V);
+    r7 ev_cnt(1, count<X>) :- ev(X);
+    r8 shared(1, count<Id>) :- keyed_src(Id, _);
+    r9 shared(2, 0) :- ev(_);
+    r10 obs_max(G, max<V>) :- obs(_, G, V);
   )");
-  // r1: single-atom over an insert-only set-semantics table -> incremental.
+  // r1: count<> over an insert-only set-semantics table -> incremental.
   EXPECT_TRUE(c.rules[0].incremental_agg);
-  // r2: driver has a proper primary key (rows can be replaced) -> not incremental.
-  EXPECT_FALSE(c.rules[1].incremental_agg);
-  // r3: driver is an event table (cleared per tick) -> not incremental.
+  // r2: count<> over a keyed (replaceable) driver -> incremental: count folds removals.
+  EXPECT_TRUE(c.rules[1].incremental_agg);
+  EXPECT_EQ(c.rules[1].full_recompute_reason, "");
+  // r3-r5: min/sum/avg fold inserts only, so a keyed driver forces full recompute.
   EXPECT_FALSE(c.rules[2].incremental_agg);
+  EXPECT_EQ(c.rules[2].full_recompute_reason, "min<> over keyed driver");
+  EXPECT_FALSE(c.rules[3].incremental_agg);
+  EXPECT_EQ(c.rules[3].full_recompute_reason, "sum<> over keyed driver");
+  EXPECT_FALSE(c.rules[4].incremental_agg);
+  EXPECT_EQ(c.rules[4].full_recompute_reason, "avg<> over keyed driver");
+  // r6: bottomk<> never folds.
+  EXPECT_FALSE(c.rules[5].incremental_agg);
+  // r7: driver is an event table (cleared per tick) -> full recompute.
+  EXPECT_FALSE(c.rules[6].incremental_agg);
+  EXPECT_EQ(c.rules[6].full_recompute_reason, "event driver");
+  // r8: its head table has a second producer (r9) -> full recompute.
+  EXPECT_FALSE(c.rules[7].incremental_agg);
+  EXPECT_EQ(c.rules[7].full_recompute_reason, "head table shared has another producer");
+  // r10: max<> over an insert-only driver keeps today's fold.
+  EXPECT_TRUE(c.rules[9].incremental_agg);
 }
 
-TEST(PlannerTest, DeleteRuleDisqualifiesIncrementalAgg) {
+TEST(PlannerTest, DeleteRuleTargetKeepsCountIncremental) {
   CompiledProgram c = MustCompile(R"(
     program t;
     table obs(Id, G);
     table rollup(G, N) keys(0);
+    table lowest(G, M) keys(0);
     event purge(Id);
     r1 rollup(G, count<Id>) :- obs(Id, G);
+    r2 lowest(G, min<Id>) :- obs(Id, G);
     d1 delete obs(Id, G) :- purge(Id), obs(Id, G);
   )");
-  EXPECT_FALSE(c.rules[0].incremental_agg) << "deletable input must force full recompute";
+  EXPECT_TRUE(c.rules[0].incremental_agg) << "count<> folds the delete rule's removals";
+  EXPECT_FALSE(c.rules[1].incremental_agg) << "min<> cannot take a deleted row back out";
+  EXPECT_EQ(c.rules[1].full_recompute_reason, "min<> over deleted or aggregate-derived driver");
+}
+
+TEST(PlannerTest, HeadKeyMustBeGroupKey) {
+  CompiledProgram c = MustCompile(R"(
+    program t;
+    table obs(Id, G);
+    table by_row(G, N);
+    r1 by_row(G, count<Id>) :- obs(Id, G);
+  )");
+  // A whole-row head key would leave the old count row behind when the count changes.
+  EXPECT_FALSE(c.rules[0].incremental_agg);
+  EXPECT_EQ(c.rules[0].full_recompute_reason, "head key is not the group key");
 }
 
 TEST(PlannerTest, DriverlessRuleFlagged) {

@@ -256,6 +256,62 @@ TEST(TableTest, PatchedIndexesNeverRebuild) {
   EXPECT_EQ(t.index_rebuilds(), 0u);
 }
 
+TEST(TableTest, ChangeLogRecordsEveryRowInAndOut) {
+  TableDef def = KeyedDef();  // file(FileId keys(0), ParentId, Name)
+  def.ttl_ms = 10;
+  Table t(def);
+  auto row = [](int id, const char* name) { return Tuple{Value(id), Value(0), Value(name)}; };
+  // Disabled (the default): nothing is logged.
+  t.Insert(row(1, "a"), 0);
+  t.Insert(row(1, "b"), 0);
+  EXPECT_FALSE(t.change_log_enabled());
+  EXPECT_EQ(t.change_log_end(), 0u);
+
+  t.SetChangeLog(true);
+  std::vector<std::pair<Tuple, bool>> log;
+  uint64_t cursor = t.change_log_end();
+  auto drain = [&]() {
+    log.clear();
+    t.ForEachChangeSince(cursor, [&log](const Table::Change& c) {
+      log.emplace_back(c.row, c.inserted);
+    });
+    cursor = t.change_log_end();
+    return log;
+  };
+  using Log = std::vector<std::pair<Tuple, bool>>;
+  EXPECT_EQ(t.Insert(row(2, "c"), 0), Table::InsertOutcome::kInserted);
+  EXPECT_EQ(drain(), (Log{{row(2, "c"), true}}));
+  EXPECT_EQ(t.Insert(row(2, "d"), 0), Table::InsertOutcome::kReplaced);
+  EXPECT_EQ(drain(), (Log{{row(2, "c"), false}, {row(2, "d"), true}}));
+  // An unchanged re-insert (here also refreshing the TTL stamp) logs nothing.
+  EXPECT_EQ(t.Insert(row(2, "d"), 5), Table::InsertOutcome::kUnchanged);
+  EXPECT_TRUE(drain().empty());
+  EXPECT_TRUE(t.Erase(row(2, "d")));
+  EXPECT_EQ(drain(), (Log{{row(2, "d"), false}}));
+  EXPECT_FALSE(t.Erase(row(1, "stale")));
+  EXPECT_TRUE(t.EraseByKey(Tuple{Value(1)}));
+  EXPECT_EQ(drain(), (Log{{row(1, "b"), false}}));
+  t.Insert(row(3, "e"), 0);
+  t.Insert(row(4, "f"), 5);
+  drain();
+  EXPECT_EQ(t.ExpireOlderThan(/*cutoff_ms=*/5).size(), 1u);
+  EXPECT_EQ(drain(), (Log{{row(3, "e"), false}}));
+  t.Clear();
+  EXPECT_EQ(drain(), (Log{{row(4, "f"), false}}));
+
+  // Positions keep counting across trims; disabling drops the entries and logs nothing.
+  const uint64_t end = t.change_log_end();
+  EXPECT_EQ(end, 9u);
+  t.Insert(row(5, "g"), 6);
+  t.TrimChangeLog(end);
+  EXPECT_EQ(drain(), (Log{{row(5, "g"), true}}));
+  t.SetChangeLog(false);
+  t.Insert(row(5, "h"), 6);
+  t.EraseByKey(Tuple{Value(5)});
+  EXPECT_EQ(t.change_log_end(), end + 1);
+  EXPECT_TRUE(drain().empty());
+}
+
 // Seeded differential test of index maintenance. Three tables (keyed, whole-row key, TTL)
 // each carry several indexes, warmed at different steps and checked at different rates so
 // some of them lag the insert log when a replace or erase patches them. Whenever an index
